@@ -36,7 +36,9 @@ Gates (non-zero exit, what the CI ``stream-smoke`` job keys off):
    overload multiple;
 6. the mean relative error of the sampled estimates vs exact ground
    truth stays under ``--error-ceiling``, and the journal of the
-   sampled run validates (mode/outcome consistency).
+   sampled run validates (mode/outcome consistency);
+7. at least ``MIN_CI_COVERAGE`` of the sampled answers have a 95%
+   interval that covers the exact count.
 """
 
 from __future__ import annotations
@@ -69,6 +71,9 @@ from repro.stream import (
 from repro.system.mithrilog import MithriLogSystem
 from repro.system.streaming import StreamingIngestor
 from repro.core.query import parse_query
+
+#: Least share of sampled answers whose 95% interval covers the exact count.
+MIN_CI_COVERAGE = 0.85
 
 
 def outcome_signature(report):
@@ -356,11 +361,19 @@ def part_b(args, failures: list[str]) -> list[dict]:
             failures.append(
                 f"x{load:g} overload degraded nothing to sampled scans"
             )
-        elif sampled_record["mean_rel_error"] > args.error_ceiling:
-            failures.append(
-                f"mean estimate error {sampled_record['mean_rel_error']:.3f} "
-                f"at x{load:g} exceeds ceiling {args.error_ceiling:g}"
-            )
+        else:
+            if sampled_record["mean_rel_error"] > args.error_ceiling:
+                failures.append(
+                    f"mean estimate error "
+                    f"{sampled_record['mean_rel_error']:.3f} at x{load:g} "
+                    f"exceeds ceiling {args.error_ceiling:g}"
+                )
+            if sampled_record["ci_coverage"] < MIN_CI_COVERAGE:
+                failures.append(
+                    f"95% intervals covered the truth only "
+                    f"{sampled_record['ci_coverage']:.2f} of the time at "
+                    f"x{load:g} (gate {MIN_CI_COVERAGE:g})"
+                )
         if args.journal_out is not None and load == args.loads[-1]:
             sampled_journal.write(args.journal_out)
             print(f"wrote sampled-run journal to {args.journal_out}")

@@ -1,7 +1,8 @@
 """Scan-path backend and kernel selection.
 
-The vectorized scan path (``repro.core.vectokenizer`` + the hash
-filter's array kernel) has two interchangeable array backends:
+The vectorized scan path (``repro.core.vectokenizer`` + the
+fact-matrix verdict kernel in ``repro.core.softmatch``) has two
+interchangeable array backends:
 
 - ``numpy`` — boolean-mask tokenization and signature pre-filtering over
   ``np.frombuffer`` views of the decompressed arena (zero copies until a

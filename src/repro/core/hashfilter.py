@@ -12,6 +12,14 @@ flags mark the set violated, valid+positive flags set the matched row's
 bit. At end of line a set is satisfied iff it is not violated and its
 bitmap equals the query bitmap exactly; a line is kept for a query iff
 any of that query's sets is satisfied.
+
+That state machine models the hardware and serves the word-stream and
+token-list paths (the serial ``limit`` scan and the reference kernel).
+Host verdicts of every vectorized scan come from one fact-matrix kernel
+(:mod:`repro.core.softmatch`);
+:meth:`HashFilter.evaluate_token_arrays` only bumps the counters and
+delegates to it. The compiled program decides provisioning (offload or
+software fallback), counters and cycle counts, not those verdicts.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.cuckoo import CuckooHashTable
 from repro.core.query import Query
+from repro.core.softmatch import batch_matcher
 from repro.core.tokenizer import TokenWord, reassemble_tokens
 from repro.errors import CapacityError
 from repro.params import CuckooParams
@@ -38,6 +47,7 @@ class CompiledQuery:
     query_bitmaps: tuple[int, ...]
     iset_to_query: tuple[int, ...]
     num_queries: int
+    queries: tuple[Query, ...]
 
     def __post_init__(self) -> None:
         # the table is immutable once compiled, so lookups are cacheable;
@@ -90,42 +100,6 @@ class CompiledQuery:
             if len(cache) < 1 << 16:
                 cache[token] = effect
             return effect
-
-    def signatures(self) -> frozenset:
-        """``(length, first_byte)`` signatures of every table token.
-
-        The vectorized kernel's pre-filter: a page token whose signature
-        is not in this set provably misses the table, so only signature
-        hits are materialised as ``bytes`` and probed. Cached — the table
-        is immutable once compiled.
-        """
-        cached = getattr(self, "_signatures", None)
-        if cached is None:
-            cached = frozenset(
-                (len(entry.token), entry.token[0])
-                for _row, entry in self.table.entries()
-                if entry.token
-            )
-            object.__setattr__(self, "_signatures", cached)
-        return cached
-
-    def default_verdict(self) -> tuple[bool, ...]:
-        """Per-query verdict of a line whose tokens all miss the table.
-
-        Such a line has zero violations and all-zero bitmaps, so query
-        ``q`` keeps it iff ``q`` owns an intersection set whose query
-        bitmap is zero (e.g. a pure-negative set). Cached; the vectorized
-        kernel assigns it to every line with no signature hits.
-        """
-        cached = getattr(self, "_default_verdict", None)
-        if cached is None:
-            verdicts = [False] * self.num_queries
-            for k, bitmap in enumerate(self.query_bitmaps):
-                if bitmap == 0:
-                    verdicts[self.iset_to_query[k]] = True
-            cached = tuple(verdicts)
-            object.__setattr__(self, "_default_verdict", cached)
-        return cached
 
     @property
     def num_isets(self) -> int:
@@ -182,6 +156,7 @@ def compile_queries(
         query_bitmaps=tuple(bitmaps),
         iset_to_query=tuple(iset_to_query),
         num_queries=len(queries),
+        queries=tuple(queries),
     )
 
 
@@ -308,93 +283,16 @@ class HashFilter:
         self.tokens_processed += tokens_seen
         return verdicts
 
-    def evaluate_token_arrays(self, page) -> list[tuple[bool, ...]]:
-        """Vectorized batch kernel over one page's offset arrays.
+    def evaluate_token_arrays(self, page):
+        """Vectorized verdicts over one page's offset arrays.
 
-        Consumes a :class:`repro.core.vectokenizer.PageTokens` and returns
-        the same verdict list :meth:`evaluate_token_lists` would for the
-        materialised token lists (the differential suite pins this down).
-
-        Two facts make it fast: almost every token misses the cuckoo
-        table, and a line with zero table hits always gets the program's
-        precomputed default verdict. So the kernel only materialises
-        tokens whose ``(length, first_byte)`` signature matches a table
-        token — a couple of array comparisons on the numpy backend, a
-        set probe per token on the fallback — and runs the full filter
-        state machine just for lines that had a signature hit.
+        Consumes a :class:`repro.core.vectokenizer.PageTokens`, bumps the
+        filter counters and returns the fact kernel's ``(keep, counts)``
+        (:class:`repro.core.softmatch.SoftwareBatchMatcher`) for the
+        program's query tuple: a keep mask with one entry per line and
+        the number of matching lines per query. The differential suite
+        pins it to :meth:`evaluate_token_lists` and to the query oracle.
         """
-        program = self.program
-        num_tokens = page.num_tokens
-        num_lines = page.num_lines
-        self.lines_processed += num_lines
-        self.tokens_processed += num_tokens
-        default = program.default_verdict()
-        verdicts = [default] * num_lines
-        if num_tokens == 0:
-            return verdicts
-        signatures = program.signatures()
-        buffer = page.buffer
-        token_starts = page.token_starts
-        token_ends = page.token_ends
-        token_lines = page.token_lines
-        token_positions = page.token_positions
-
-        if page.backend == "numpy" and signatures:
-            from repro.core.backend import numpy_or_none
-
-            np = numpy_or_none()
-            lengths = token_ends - token_starts
-            firsts = np.frombuffer(buffer, dtype=np.uint8)[token_starts]
-            mask = np.zeros(num_tokens, dtype=bool)
-            for length, first in signatures:
-                mask |= (lengths == length) & (firsts == first)
-            candidates = np.flatnonzero(mask).tolist()
-        elif signatures:
-            candidates = [
-                j
-                for j in range(num_tokens)
-                if (token_ends[j] - token_starts[j], buffer[token_starts[j]])
-                in signatures
-            ]
-        else:
-            candidates = []
-
-        # group surviving (position, effect) hits per line; most lines
-        # have none and keep the default verdict untouched
-        effect_cache = program._effect_cache
-        token_effect = program.token_effect
-        hits_by_line: dict[int, list] = {}
-        for j in candidates:
-            token = bytes(buffer[int(token_starts[j]) : int(token_ends[j])])
-            effect = effect_cache.get(token, _UNCACHED)
-            if effect is _UNCACHED:
-                effect = token_effect(token)
-            if effect is None:
-                continue
-            hits_by_line.setdefault(int(token_lines[j]), []).append(
-                (int(token_positions[j]), effect)
-            )
-
-        if not hits_by_line:
-            return verdicts
-        query_bitmaps = program.query_bitmaps
-        iset_to_query = program.iset_to_query
-        num_isets = program.num_isets
-        num_queries = program.num_queries
-        zero_bitmaps = [0] * num_isets
-        for line, hits in hits_by_line.items():
-            violated = 0
-            bitmaps = zero_bitmaps[:]
-            for position, effect in hits:
-                violate_mask, bit_updates, column = effect
-                if column is not None and position != column:
-                    continue
-                violated |= violate_mask
-                for iset_index, bit in bit_updates:
-                    bitmaps[iset_index] |= bit
-            line_verdict = [False] * num_queries
-            for k in range(num_isets):
-                if not (violated >> k) & 1 and bitmaps[k] == query_bitmaps[k]:
-                    line_verdict[iset_to_query[k]] = True
-            verdicts[line] = tuple(line_verdict)
-        return verdicts
+        self.lines_processed += page.num_lines
+        self.tokens_processed += page.num_tokens
+        return batch_matcher(self.program.queries).evaluate(page)

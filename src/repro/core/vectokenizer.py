@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.backend import numpy_or_none, resolve_backend
-from repro.core.tokenizer import _DELIM_TRANSLATE, split_tokens
+from repro.core.tokenizer import _DELIM_TRANSLATE
 
 __all__ = ["PageTokens", "tokenize_page_offsets"]
 
@@ -76,6 +76,23 @@ class PageTokens:
     def line_bytes(self, i: int) -> bytes:
         """Raw bytes of line ``i`` (terminator stripped, tabs intact)."""
         return bytes(self.buffer[int(self.line_starts[i]) : int(self.line_ends[i])])
+
+    def kept_lines(self, keep) -> List[bytes]:
+        """Raw bytes of every line whose ``keep`` entry is true, in order.
+
+        ``keep`` is a numpy bool array for a numpy page, a list otherwise
+        (the verdict kernel's keep mask).
+        """
+        if self.backend == "numpy":
+            rows = keep.nonzero()[0]
+            starts = self.line_starts[rows].tolist()
+            ends = self.line_ends[rows].tolist()
+        else:
+            rows = [i for i, kept in enumerate(keep) if kept]
+            starts = [self.line_starts[i] for i in rows]
+            ends = [self.line_ends[i] for i in rows]
+        buffer = self.buffer
+        return [bytes(buffer[s:e]) for s, e in zip(starts, ends)]
 
     def token_bytes(self, j: int) -> bytes:
         return bytes(
@@ -294,11 +311,3 @@ def _tokenize_generic(data: bytes, backend: str) -> PageTokens:
         backend=backend,
     )
 
-
-def _self_check(payload: bytes) -> bool:
-    """Debug helper: offsets agree with the reference tokenizer."""
-    page = tokenize_page_offsets(payload)
-    raw_lines, token_lists = page.to_token_lists()
-    return raw_lines == payload.splitlines() and token_lists == [
-        split_tokens(line) for line in raw_lines
-    ]

@@ -15,12 +15,12 @@ selected by :class:`ScanProgramSpec.kernel`:
 
 - ``vectorized`` — the zero-copy hot path: pages decompress into a
   reusable :class:`~repro.compression.arena.DecodeArena`, tokenization
-  emits offset arrays (``repro.core.vectokenizer``), and the filter runs
-  the signature-prefiltered array kernel
-  (:meth:`~repro.core.hashfilter.HashFilter.evaluate_token_arrays` for
-  offloaded programs, :class:`~repro.core.softmatch
-  .SoftwareBatchMatcher` for programs that exceeded hardware
-  provisioning and run in software).
+  emits offset arrays (``repro.core.vectokenizer``), and one fact-matrix
+  kernel (:class:`~repro.core.softmatch.SoftwareBatchMatcher`) gives the
+  host verdicts of every program, offloaded or run in software: a keep
+  mask and per-query counts per page. The compiled cuckoo program only
+  decides provisioning, counters and cycle counts, so this kernel never
+  compiles one.
 - ``reference`` — PR 3's per-page token-list path, retained verbatim as
   the oracle the differential suite compares against.
 
@@ -62,11 +62,13 @@ from repro.params import CuckooParams, LZAHParams
 class ScanProgramSpec:
     """Everything a worker needs to rebuild the scan program.
 
-    Workers recompile the query program from first principles
-    (:func:`repro.core.hashfilter.compile_queries` is deterministic in
-    ``(queries, params, seed)``), so nothing stateful crosses the process
-    boundary — only frozen parameter dataclasses, query algebra, and the
-    resolved kernel/backend names. The parent resolves ``kernel`` and
+    Workers rebuild their filter state from first principles — the
+    vectorized kernel's memoised fact kernel from ``queries``, the
+    reference kernel's compiled program from ``(queries, params,
+    seed)`` (:func:`repro.core.hashfilter.compile_queries` is
+    deterministic) — so nothing stateful crosses the process boundary:
+    only frozen parameter dataclasses, query algebra, and the resolved
+    kernel/backend names. The parent resolves ``kernel`` and
     ``backend`` (env vars, numpy availability) *before* building the
     spec so every pool worker runs the same code path even if its own
     environment would resolve differently.
@@ -90,7 +92,9 @@ class ScanAggregate:
     inline path), in page order — the per-partition view the parent
     turns into trace spans. ``profile`` is their stage-wise merge.
     ``per_query_counts`` is the number of kept lines per concurrent
-    query (partition sums — worker-count invariant); ``decoded`` is only
+    query (partition sums — worker-count invariant) and ``page_counts``
+    the same counts per scanned page, in page order (what a sampled
+    scan's estimator needs); ``decoded`` is only
     populated on the inline path when the caller asked for the decoded
     pages back (one immutable ``bytes`` per item, ``None`` for pages
     that arrived already decoded), so the parent can feed its PageCache
@@ -104,6 +108,7 @@ class ScanAggregate:
     partitions: tuple[PartitionProfile, ...] = ()
     profile: tuple[tuple[str, StageProfile], ...] = ()
     per_query_counts: tuple[int, ...] = ()
+    page_counts: tuple[tuple[int, ...], ...] = ()
     decoded: tuple = ()
 
     def profile_dict(self) -> dict[str, StageProfile]:
@@ -121,6 +126,7 @@ class KernelResult:
     per_query_counts: tuple[int, ...]
     stages: tuple[tuple[str, StageProfile], ...]
     decoded: tuple = ()
+    page_counts: tuple[tuple[int, ...], ...] = ()  #: per page, per query
 
 
 #: Per-process memo of compiled filter programs, keyed by the hashable
@@ -134,9 +140,6 @@ _CODEC_MEMO: dict = {}
 #: Per-process decode arena, grown to the largest page seen and recycled
 #: across partitions and scans (the zero-copy path's whole point).
 _ARENA = None
-
-#: Per-process memo of software batch matchers, keyed by the query tuple.
-_MATCHER_MEMO: dict = {}
 
 
 def _partition_kernel(
@@ -181,7 +184,7 @@ def _partition_kernel(
     clock = time.perf_counter
     out_chunks: list[bytes] = []
     decoded_pages: list = []
-    counts = [0] * num_queries
+    page_counts: list[tuple[int, ...]] = []
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
@@ -210,6 +213,7 @@ def _partition_kernel(
                 for tokens in token_lists
             ]
         kept = []
+        counts = [0] * num_queries
         for line, verdict in zip(raw_lines, verdicts):
             if True in verdict:
                 kept.append(line)
@@ -217,6 +221,7 @@ def _partition_kernel(
                     if verdict[q]:
                         counts[q] += 1
         profile.add("filter", units=len(raw_lines), wall_s=clock() - t0)
+        page_counts.append(tuple(counts))
         lines_kept += len(kept)
         out_chunks.append(b"\n".join(kept) + (b"\n" if kept else b""))
     return KernelResult(
@@ -224,9 +229,10 @@ def _partition_kernel(
         bytes_decompressed=bytes_decompressed,
         lines_seen=lines_seen,
         lines_kept=lines_kept,
-        per_query_counts=tuple(counts),
+        per_query_counts=_totals(page_counts, num_queries),
         stages=profile.build_items(),
         decoded=tuple(decoded_pages) if want_decoded else (),
+        page_counts=tuple(page_counts),
     )
 
 
@@ -244,7 +250,7 @@ def _vectorized_kernel(
     """
     from repro.compression.arena import DecodeArena
     from repro.compression.lzah import LZAHCompressor
-    from repro.core.hashfilter import HashFilter
+    from repro.core.softmatch import batch_matcher
     from repro.core.vectokenizer import tokenize_page_offsets
 
     global _ARENA
@@ -255,10 +261,7 @@ def _vectorized_kernel(
     if _ARENA is None:
         _ARENA = DecodeArena()
     arena = _ARENA
-    if spec.offloaded:
-        evaluate = HashFilter(_compiled_program(spec)).evaluate_token_arrays
-    else:
-        evaluate = _software_matcher(spec.queries).evaluate
+    evaluate = batch_matcher(spec.queries).evaluate
     backend = spec.backend
     num_queries = len(spec.queries)
 
@@ -266,7 +269,7 @@ def _vectorized_kernel(
     clock = time.perf_counter
     out_chunks: list[bytes] = []
     decoded_pages: list = []
-    counts = [0] * num_queries
+    page_counts: list[tuple[int, ...]] = []
     bytes_decompressed = 0
     lines_seen = 0
     lines_kept = 0
@@ -287,15 +290,10 @@ def _vectorized_kernel(
         profile.add("tokenize", units=page.num_lines, wall_s=clock() - t0)
         lines_seen += page.num_lines
         t0 = clock()
-        verdicts = evaluate(page)
-        kept = []
-        for i, verdict in enumerate(verdicts):
-            if True in verdict:
-                kept.append(page.line_bytes(i))
-                for q in range(num_queries):
-                    if verdict[q]:
-                        counts[q] += 1
+        keep, counts = evaluate(page)
+        kept = page.kept_lines(keep)
         profile.add("filter", units=page.num_lines, wall_s=clock() - t0)
+        page_counts.append(counts)
         lines_kept += len(kept)
         # kept lines are immutable copies, so recycling the arena for the
         # next page (the decompress_into above) cannot corrupt them
@@ -305,20 +303,16 @@ def _vectorized_kernel(
         bytes_decompressed=bytes_decompressed,
         lines_seen=lines_seen,
         lines_kept=lines_kept,
-        per_query_counts=tuple(counts),
+        per_query_counts=_totals(page_counts, num_queries),
         stages=profile.build_items(),
         decoded=tuple(decoded_pages) if want_decoded else (),
+        page_counts=tuple(page_counts),
     )
 
 
-def _software_matcher(queries: tuple[Query, ...]):
-    matcher = _MATCHER_MEMO.get(queries)
-    if matcher is None:
-        from repro.core.softmatch import SoftwareBatchMatcher
-
-        matcher = SoftwareBatchMatcher(queries)
-        _MATCHER_MEMO[queries] = matcher
-    return matcher
+def _totals(page_counts: list[tuple[int, ...]], num_queries: int) -> tuple:
+    """Per-query sums of per-page counts (zeros for an empty partition)."""
+    return tuple(sum(c[q] for c in page_counts) for q in range(num_queries))
 
 
 def _compiled_program(spec: ScanProgramSpec):
@@ -417,6 +411,7 @@ class ScanExecutor:
                 partitions=(record,),
                 profile=result.stages,
                 per_query_counts=result.per_query_counts,
+                page_counts=result.page_counts,
                 decoded=result.decoded,
             )
         pool = self._ensure_pool()
@@ -430,6 +425,7 @@ class ScanExecutor:
         chunks: list[bytes] = []
         records: list[PartitionProfile] = []
         counts = [0] * len(spec.queries)
+        page_counts: list[tuple[int, ...]] = []
         bytes_decompressed = 0
         lines_seen = 0
         lines_kept = 0
@@ -452,6 +448,7 @@ class ScanExecutor:
             lines_kept += result.lines_kept
             for q, count in enumerate(result.per_query_counts):
                 counts[q] += count
+            page_counts.extend(result.page_counts)
         merged = merge_profiles(r.stage_dict() for r in records)
         # the workers' registries died with their processes; fold their
         # accounting into the parent's here, where it is actually scraped
@@ -464,6 +461,7 @@ class ScanExecutor:
             partitions=tuple(records),
             profile=tuple(sorted(merged.items())),
             per_query_counts=tuple(counts),
+            page_counts=tuple(page_counts),
         )
 
 

@@ -19,6 +19,9 @@ Semantics, chosen to be boring and explainable in a CI log:
   always fine; the watchdog is one-sided.
 - Series shorter than ``min_runs`` (default 2) are skipped — with no
   history there is nothing to regress against.
+- Input where *no* record carries the watched metric is an error: a
+  gate pointed at a metric nobody records would pass exactly when it
+  should be failing.
 
 The watched metric defaults to ``speedup`` (bigger is better). Wall
 seconds are *not* watched by default: they measure the CI machine, not
@@ -114,7 +117,8 @@ def evaluate_trajectory(
     """Judge every ``(bench, config)`` series; returns the regressions.
 
     Records without the metric (or without a config) are ignored —
-    trajectory files may mix benches with different record shapes.
+    trajectory files may mix benches with different record shapes — but
+    :class:`WatchError` is raised when no record carries it at all.
     """
     if tolerance <= 0:
         raise WatchError(f"tolerance must be positive, got {tolerance}")
@@ -126,6 +130,11 @@ def evaluate_trajectory(
             continue
         key = (str(record.get("bench", "")), str(config))
         series.setdefault(key, []).append(float(value))
+    if not series:
+        raise WatchError(
+            f"no record carries the watched metric {metric!r}; "
+            "nothing would be judged"
+        )
     regressions: list[Regression] = []
     for (bench, config), values in series.items():
         if len(values) < max(2, min_runs):

@@ -17,11 +17,13 @@ Two properties matter more than the estimator itself:
   the parent *before* the scan executor partitions pages over workers,
   so results are worker-count- and backend-invariant and any run can be
   replayed exactly (pinned by ``tests/differential``).
-- **Honest uncertainty** — each page is an independent Bernoulli draw
-  at rate ``fraction``, so the Horvitz–Thompson estimate of the total
-  match count is ``seen / fraction`` and, modelling per-page counts as
-  roughly even (template-interleaved ingest spreads a template's lines
-  across pages), its variance is ``seen * (1 - f) / f**2``. The normal
+- **Honest uncertainty** — the sampling unit is the *page*, and
+  matches cluster within pages, so the estimator treats the scan as a
+  cluster sample: with ``n`` of ``N`` candidate pages scanned and
+  per-page counts ``y`` of mean ``ȳ`` and variance ``s²``, the total is
+  ``N·ȳ`` and the interval ``N·ȳ ± z·N·√((1−f)·s²/n)``, ``f = n/N``.
+  Treating every matching line as an independent draw instead
+  understates the variance whenever matches cluster. The normal
   approximation gives the reported interval; stdlib ``math`` only — the
   estimator must work on the no-numpy CI leg.
 """
@@ -124,41 +126,27 @@ class SampleEstimate:
 
 
 def estimate_matches(
-    matches_seen: int,
-    pages_scanned: int,
+    page_counts: Sequence[int],
     pages_total: int,
     fraction: float,
     confidence: float = DEFAULT_CONFIDENCE,
 ) -> SampleEstimate:
-    """Scale a sampled match count back to the full candidate set.
+    """Scale sampled per-page match counts back to the full candidate set.
 
-    Uses the *realised* sampling rate (``pages_scanned/pages_total``)
-    for the point estimate — it is known exactly, and conditioning on
-    it removes the variance of the sample size itself — and the normal
-    approximation ``±z * sqrt(seen * (1 - f)) / f`` for the interval.
-    With zero matches seen, the interval upper bound falls back to the
-    rule-of-three bound (3/f) instead of a degenerate [0, 0].
+    ``page_counts`` holds one query's match count on each scanned page.
+    The point estimate ``N·ȳ`` uses the *realised* sampling rate
+    ``f = n/N`` — it is known exactly, and conditioning on it removes
+    the variance of the sample size itself. The interval is the
+    page-cluster one, ``± z·N·√((1−f)·s²/n)`` with ``s²`` the variance
+    of the sampled page counts; a single page carries no variance
+    estimate, so it falls back to a Poisson page (``s² = ȳ``). With zero
+    matches seen, the upper bound is the rule-of-three bound (3/f)
+    instead of a degenerate [0, 0].
     """
-    if pages_total <= 0 or pages_scanned <= 0:
-        return SampleEstimate(
-            matches_seen=matches_seen,
-            pages_scanned=pages_scanned,
-            pages_total=pages_total,
-            fraction=fraction,
-            estimate=float(matches_seen),
-            ci_low=float(matches_seen),
-            ci_high=float(matches_seen),
-            confidence=confidence,
-        )
-    z = _Z_SCORES.get(round(confidence, 2))
-    if z is None:
-        raise QueryError(
-            f"unsupported confidence {confidence}; "
-            f"choose from {sorted(_Z_SCORES)}"
-        )
-    realised = pages_scanned / pages_total
-    if pages_scanned >= pages_total:
-        # degenerate sample: every candidate scanned, the count is exact
+    matches_seen = sum(page_counts)
+    pages_scanned = len(page_counts)
+    if pages_total <= 0 or pages_scanned <= 0 or pages_scanned >= pages_total:
+        # nothing sampled, or every candidate scanned: the count is exact
         exact = float(matches_seen)
         return SampleEstimate(
             matches_seen=matches_seen,
@@ -170,12 +158,29 @@ def estimate_matches(
             ci_high=exact,
             confidence=confidence,
         )
-    estimate = matches_seen / realised
+    z = _Z_SCORES.get(round(confidence, 2))
+    if z is None:
+        raise QueryError(
+            f"unsupported confidence {confidence}; "
+            f"choose from {sorted(_Z_SCORES)}"
+        )
+    realised = pages_scanned / pages_total
+    mean = matches_seen / pages_scanned
+    estimate = pages_total * mean
     if matches_seen == 0:
         half = 0.0
         hi = 3.0 / realised  # rule of three: 95%-ish bound on a zero count
     else:
-        half = z * math.sqrt(matches_seen * (1.0 - realised)) / realised
+        if pages_scanned > 1:
+            variance = sum((y - mean) ** 2 for y in page_counts) / (
+                pages_scanned - 1
+            )
+        else:
+            variance = mean
+        half = (
+            z * pages_total
+            * math.sqrt((1.0 - realised) * variance / pages_scanned)
+        )
         hi = estimate + half
     return SampleEstimate(
         matches_seen=matches_seen,

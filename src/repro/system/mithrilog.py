@@ -548,12 +548,15 @@ class MithriLogSystem:
         worker-count- and backend-invariant) is read, and the outcome
         carries one :class:`repro.stream.sampling.SampleEstimate` per
         query scaling the sampled count back to the full candidate set
-        with a confidence interval.
+        with a page-cluster confidence interval. It cannot be combined
+        with ``limit``: an early stop would bias the per-page counts.
         """
         if not queries:
             raise QueryError("query() needs at least one query")
         if workers < 1:
             raise QueryError("workers must be at least 1")
+        if sample_fraction is not None and limit is not None:
+            raise QueryError("a sampled scan cannot also take a limit")
         self._query_seq += 1
         context = (
             trace_context
@@ -609,6 +612,7 @@ class MithriLogSystem:
         misses_before = self.page_cache.misses
         partitions = ()
         per_query: Optional[list[int]] = None
+        page_counts: tuple[tuple[int, ...], ...] = ()
         if limit is None:
             # all full scans — any worker count — run the partition
             # kernel (vectorized by default when offloaded); workers=1
@@ -623,6 +627,7 @@ class MithriLogSystem:
             stats.partitions = max(1, len(aggregate.partitions))
             stats.host_profile = profile_to_dict(aggregate.profile_dict())
             per_query = list(aggregate.per_query_counts)
+            page_counts = aggregate.page_counts
         else:
             host = ProfileBuilder()
             self.device.configure(
@@ -677,8 +682,7 @@ class MithriLogSystem:
         if sample_fraction is not None:
             estimates = [
                 estimate_matches(
-                    per_query[i],
-                    pages_scanned=stats.pages_sampled,
+                    [counts[i] for counts in page_counts],
                     pages_total=sample_pool,
                     fraction=sample_fraction,
                 )
@@ -832,10 +836,9 @@ class MithriLogSystem:
             else:
                 items.append((False, payload))
         # Kernel and backend resolve here, in the parent, so every pool
-        # worker runs the identical code path. Offloaded programs filter
-        # through the compiled cuckoo table's array kernel; software
-        # -fallback programs (provisioning exceeded) go through the batch
-        # matcher in repro.core.softmatch — same vectorized front end.
+        # worker runs the identical code path. The vectorized kernel gets
+        # the verdicts of every program, offloaded or not, from the fact
+        # kernel in repro.core.softmatch.
         kernel = resolve_kernel(self.scan_kernel)
         spec = ScanProgramSpec(
             queries=tuple(queries),

@@ -22,7 +22,6 @@ when the requested backend is absent.
 
 import base64
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -61,6 +60,22 @@ CORPUS = [
 ]
 CORPUS_IDS = [name for name, _ in CORPUS]
 CORPUS_PAGES = [data for _, data in CORPUS]
+
+
+def _kernel_shape(verdicts, num_queries):
+    """Per-line verdict tuples folded into the verdict kernel's
+    ``(keep, counts)`` shape: any-query keep flags and per-query counts."""
+    keep = [True in verdict for verdict in verdicts]
+    counts = tuple(
+        sum(verdict[q] for verdict in verdicts) for q in range(num_queries)
+    )
+    return keep, counts
+
+
+def _as_lists(result):
+    """A kernel ``(keep, counts)`` with the keep mask as a plain list."""
+    keep, counts = result
+    return [bool(k) for k in keep], counts
 
 
 def _assert_tokenization_matches(payload: bytes, backend: str) -> None:
@@ -122,7 +137,7 @@ class TestCorpusReplay:
         fast = HashFilter(program).evaluate_token_arrays(page)
         _, token_lists = tokenize_page(payload)
         slow = HashFilter(program).evaluate_token_lists(token_lists)
-        assert fast == slow
+        assert _as_lists(fast) == _kernel_shape(slow, len(queries))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
@@ -157,7 +172,7 @@ class TestCorpusReplay:
             tuple(q.matches_tokens(tokens) for q in queries)
             for tokens in token_lists
         ]
-        assert fast == slow
+        assert _as_lists(fast) == _kernel_shape(slow, len(queries))
 
     @pytest.mark.parametrize("payload", CORPUS_PAGES, ids=CORPUS_IDS)
     def test_decoder_matches_reference(self, payload):
@@ -242,7 +257,7 @@ if HAVE_HYPOTHESIS:
             raw_lines, token_lists = tokenize_page(payload)
             slow_filter = HashFilter(program)
             slow = slow_filter.evaluate_token_lists(token_lists)
-            assert fast == slow
+            assert _as_lists(fast) == _kernel_shape(slow, len(queries))
             assert fast_filter.lines_processed == slow_filter.lines_processed
             assert fast_filter.tokens_processed == slow_filter.tokens_processed
             # and both agree with the per-line query oracles
@@ -269,7 +284,7 @@ if HAVE_HYPOTHESIS:
                 tuple(q.matches_tokens(tokens) for q in queries)
                 for tokens in token_lists
             ]
-            assert fast == slow
+            assert _as_lists(fast) == _kernel_shape(slow, len(queries))
 
         @settings(max_examples=75, deadline=None)
         @given(
@@ -419,6 +434,76 @@ if HAVE_HYPOTHESIS:
                 return {name: (s.calls, s.units) for name, s in stages}
 
             assert counts(vec.stages) == counts(ref.stages)
+
+    # fact-kernel shapes: a small shared vocabulary so one token serves
+    # several queries and sets (fact dedup), fact tokens of 256+ bytes,
+    # page tokens longer than every fact token, blank and delimiter-only
+    # lines, and \r terminators (tokenized as plain lists even on numpy)
+    FACT_VOCAB = [b"svc", b"ERR", b"open", b"L" * 256, b"L" * 300]
+    PAGE_WORDS = FACT_VOCAB + [b"svcd", b"sv", b"E", b"L" * 301, b"L" * 4096]
+
+    fact_term = st.tuples(
+        st.sampled_from(FACT_VOCAB),
+        st.booleans(),  # negative
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+    ).map(lambda t: Term(token=t[0], negative=t[1], column=t[2]))
+    fact_set = st.lists(fact_term, min_size=1, max_size=3).map(
+        lambda terms: IntersectionSet(terms=tuple(terms))
+    )
+    negative_only_set = st.lists(
+        st.sampled_from(FACT_VOCAB), min_size=1, max_size=2
+    ).map(
+        lambda tokens: IntersectionSet(
+            terms=tuple(Term(token=t, negative=True) for t in tokens)
+        )
+    )
+    fact_query = st.lists(
+        st.one_of(fact_set, negative_only_set), min_size=0, max_size=3
+    ).map(lambda isets: Query(intersections=tuple(isets)))
+    fact_line = st.lists(
+        st.sampled_from(PAGE_WORDS + [b"", b"\t"]), max_size=6
+    ).map(b" ".join)
+    fact_page = st.tuples(
+        st.lists(fact_line, max_size=12),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]),
+        st.booleans(),  # terminated last line
+    ).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else b""))
+
+    class TestFactKernelProperty:
+        @settings(max_examples=200, deadline=None)
+        @given(
+            payload=fact_page,
+            backend=st.sampled_from(BACKENDS),
+            queries=st.lists(fact_query, min_size=1, max_size=8),
+        )
+        def test_keep_and_counts_match_query_oracle(
+            self, payload, backend, queries
+        ):
+            """The keep mask and per-query counts equal per-line
+            ``Query.matches_tokens`` through both kernel entry points."""
+            from repro.errors import CapacityError, PlacementError
+
+            queries = tuple(queries)
+            _, token_lists = tokenize_page(payload)
+            want = _kernel_shape(
+                [
+                    tuple(q.matches_tokens(tokens) for q in queries)
+                    for tokens in token_lists
+                ],
+                len(queries),
+            )
+            page = tokenize_page_offsets(payload, backend)
+            if b"\r" in payload:
+                assert page.backend == "fallback"
+            assert _as_lists(SoftwareBatchMatcher(queries).evaluate(page)) == want
+            try:
+                program = compile_queries(queries, seed=0)
+            except (PlacementError, CapacityError):
+                return  # beyond provisioning: never offloaded
+            hash_filter = HashFilter(program)
+            assert _as_lists(hash_filter.evaluate_token_arrays(page)) == want
+            assert hash_filter.lines_processed == len(token_lists)
+            assert hash_filter.tokens_processed == sum(map(len, token_lists))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.compression.lzah import LZAHCompressor
+from repro.core.backend import available_backends
 from repro.core.hashfilter import HashFilter, compile_queries
 from repro.core.query import IntersectionSet, Query, Term, parse_query
 from repro.core.tokenizer import (
@@ -19,6 +20,7 @@ from repro.core.tokenizer import (
     split_tokens_reference,
     tokenize_page,
 )
+from repro.core.vectokenizer import tokenize_page_offsets
 from repro.datasets.synthetic import generator_for
 from repro.errors import CompressedFormatError
 from repro.params import LZAHParams
@@ -159,6 +161,54 @@ class TestHashFilterBatchKernel:
         verdicts = fast.evaluate_token_lists(cases)
         slow = HashFilter(program)
         assert verdicts == [slow.evaluate_tokens(tokens) for tokens in cases]
+
+
+class TestFactKernelArrays:
+    """``evaluate_token_arrays`` (the fact kernel behind a counting
+    delegate) against the per-line batch kernel, on both backends."""
+
+    QUERIES = TestHashFilterBatchKernel.QUERIES
+
+    def _check(self, program, queries, payload):
+        _, token_lists = tokenize_page(payload)
+        verdicts = HashFilter(program).evaluate_token_lists(token_lists)
+        want_keep = [True in v for v in verdicts]
+        want_counts = tuple(
+            sum(v[q] for v in verdicts) for q in range(len(queries))
+        )
+        for backend in available_backends():
+            page = tokenize_page_offsets(payload, backend)
+            keep, counts = HashFilter(program).evaluate_token_arrays(page)
+            assert [bool(k) for k in keep] == want_keep, backend
+            assert counts == want_counts, backend
+
+    def test_random_pages_match_batch_verdicts(self):
+        rng = random.Random(23)
+        vocabulary = [
+            b"alpha", b"beta", b"gamma", b"delta", b"epsilon",
+            b"zeta", b"noise", b"x" * 300,
+        ]
+        token_lists = _random_token_lists(rng, vocabulary, 2000)
+        payload = b"".join(b" ".join(t) + b"\n" for t in token_lists)
+        program = compile_queries(tuple(self.QUERIES), seed=0)
+        self._check(program, self.QUERIES, payload)
+
+    def test_adversarial_lines(self):
+        payload = b"\n".join(ADVERSARIAL_LINES) + b"\n"
+        program = compile_queries(tuple(self.QUERIES), seed=0)
+        self._check(program, self.QUERIES, payload)
+
+    def test_column_constrained_queries(self):
+        constrained = Query(
+            intersections=(
+                IntersectionSet(
+                    terms=(Term(token=b"svc"), Term(token=b"ERR", column=2))
+                ),
+            )
+        )
+        payload = b"svc x ERR\nsvc ERR x\nERR svc ERR\nsvc\n\n"
+        program = compile_queries((constrained,), seed=0)
+        self._check(program, (constrained,), payload)
 
 
 class TestLZAHDecoder:

@@ -95,6 +95,18 @@ class TestEvaluateTrajectory:
         # a regression when watched explicitly... it isn't: it grew.
         assert evaluate_trajectory(records, metric="wall_s") == []
 
+    def test_no_series_carrying_the_metric_rejected(self):
+        # a gate watching a metric no record carries judges nothing; it
+        # must fail loudly instead of printing "no regressions"
+        records = [
+            {"bench": "workload", "config": "baseline", "goodput_qps": 9.0}
+        ]
+        with pytest.raises(WatchError, match="no record carries"):
+            evaluate_trajectory(records, metric="speedup")
+        with pytest.raises(WatchError, match="no record carries"):
+            evaluate_trajectory([])
+        assert evaluate_trajectory(records, metric="goodput_qps") == []
+
     def test_non_positive_tolerance_rejected(self):
         with pytest.raises(WatchError, match="tolerance must be positive"):
             evaluate_trajectory(series("b", 1.0, 1.0), tolerance=0.0)
@@ -151,6 +163,23 @@ class TestMainExitCodes:
 
     def test_unreadable_file_exits_two(self, tmp_path):
         assert main([str(tmp_path / "nope.json")]) == 2
+
+    def test_metric_missing_from_every_record_exits_two(self, tmp_path):
+        path = write_trajectory(
+            tmp_path / "t.json",
+            [{"bench": "slo", "config": "clean", "goodput_qps": 1.0}] * 2,
+        )
+        assert main([str(path)]) == 2
+        assert main([str(path), "--metric", "goodput_qps"]) == 0
+
+    @pytest.mark.parametrize(
+        "trajectory", ["BENCH_workload.json", "BENCH_slo.json"]
+    )
+    def test_committed_trajectories_carry_goodput(self, trajectory):
+        """The CI watch steps over these files judge ``goodput_qps``."""
+        path = REPO_ROOT / trajectory
+        assert main([str(path), "--metric", "goodput_qps"]) == 0
+        assert main([str(path)]) == 2
 
     def test_bad_tolerance_exits_two(self, tmp_path):
         good = write_trajectory(tmp_path / "t.json", series("b", 1.0, 1.0))
