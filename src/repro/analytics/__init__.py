@@ -20,34 +20,38 @@ extraction capability of MithriLog". This package is that layer:
 
 Everything consumes the tagger/filter output of :mod:`repro.core`, so
 these analyses run over *extracted* data, never raw logs.
+
+Exports load lazily (PEP 562): ``anomaly``, ``clustering``, ``counting``
+and ``sequences`` need numpy, and importing the package (as
+:mod:`repro.obs.report` does for ``workload``) must not.
 """
 
-from repro.analytics.aggregate import AggregateReport, aggregate_matches
-from repro.analytics.anomaly import PCAAnomalyDetector
-from repro.analytics.clustering import KMeans
-from repro.analytics.counting import TemplateCountMatrix, count_windows
-from repro.analytics.sequences import TransitionModel
-from repro.analytics.workload import (
-    DriftReport,
-    SliceStats,
-    WorkloadProfile,
-    drift,
-    hot_templates,
-    mine,
-)
+from importlib import import_module
 
-__all__ = [
-    "AggregateReport",
-    "DriftReport",
-    "KMeans",
-    "PCAAnomalyDetector",
-    "SliceStats",
-    "TemplateCountMatrix",
-    "TransitionModel",
-    "WorkloadProfile",
-    "aggregate_matches",
-    "count_windows",
-    "drift",
-    "hot_templates",
-    "mine",
-]
+#: exported name -> submodule that defines it
+_EXPORTS = {
+    "AggregateReport": "aggregate",
+    "aggregate_matches": "aggregate",
+    "PCAAnomalyDetector": "anomaly",
+    "KMeans": "clustering",
+    "TemplateCountMatrix": "counting",
+    "count_windows": "counting",
+    "TransitionModel": "sequences",
+    "DriftReport": "workload",
+    "SliceStats": "workload",
+    "WorkloadProfile": "workload",
+    "drift": "workload",
+    "hot_templates": "workload",
+    "mine": "workload",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

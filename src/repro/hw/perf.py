@@ -62,34 +62,34 @@ class TokenizedStats:
         return self.tokenized_bytes / self.raw_bytes
 
 
-def measure_tokenized_stats(
-    lines: Iterable[bytes], datapath_bytes: int = 16
-) -> TokenizedStats:
-    """Tokenize ``lines`` and measure padding amplification.
+def line_shape(tokens: Sequence[bytes], datapath_bytes: int) -> tuple[int, int]:
+    """``(datapath words, useful bytes)`` of one tokenized line.
 
-    Uses the same token-splitting rules as the functional tokenizer
-    (:func:`repro.core.tokenizer.split_tokens`) so the model and the
-    functional engine cannot drift apart.
+    A token of ``n`` bytes occupies ``ceil(n / datapath_bytes)`` words; a
+    token-less line still emits one flagged word. ``tokens`` are
+    non-empty, as :func:`repro.core.tokenizer.split_tokens` yields them.
+    These two ints per line are all the cycle model and Figure 13 need,
+    so ingest keeps them instead of the token lists.
     """
-    from repro.core.tokenizer import split_tokens
+    sizes = list(map(len, tokens))
+    pad = datapath_bytes - 1
+    words = sum([(size + pad) // datapath_bytes for size in sizes])
+    return max(1, words), sum(sizes)
 
-    raw = 0
-    nlines = 0
-    words = 0
-    useful = 0
-    for line in lines:
-        nlines += 1
-        raw += len(line) + 1  # count the newline the storage stream carries
-        line_words = 0
-        for token in split_tokens(line):
-            useful += len(token)
-            line_words += max(1, math.ceil(len(token) / datapath_bytes))
-        words += max(1, line_words)  # token-less lines still emit one word
+
+def tokenized_stats(
+    lines: Sequence[bytes],
+    line_words: Sequence[int],
+    line_useful: Sequence[int],
+    datapath_bytes: int,
+) -> TokenizedStats:
+    """:class:`TokenizedStats` from per-line :func:`line_shape` counts,
+    publishing the Figure 13 gauges."""
     stats = TokenizedStats(
-        raw_bytes=raw,
-        lines=nlines,
-        token_words=words,
-        useful_bytes=useful,
+        raw_bytes=sum(len(line) + 1 for line in lines),  # + stored newline
+        lines=len(lines),
+        token_words=sum(line_words),
+        useful_bytes=sum(line_useful),
         datapath_bytes=datapath_bytes,
     )
     registry = get_registry()
@@ -103,6 +103,27 @@ def measure_tokenized_stats(
             "Tokenized bytes per raw input byte",
         ).set(stats.amplification)
     return stats
+
+
+def measure_tokenized_stats(
+    lines: Iterable[bytes], datapath_bytes: int = 16
+) -> TokenizedStats:
+    """Tokenize ``lines`` and measure padding amplification.
+
+    Uses the same token-splitting rules as the functional tokenizer
+    (:func:`repro.core.tokenizer.split_tokens`) so the model and the
+    functional engine cannot drift apart.
+    """
+    from repro.core.tokenizer import split_tokens
+
+    lines = list(lines)
+    shapes = [line_shape(split_tokens(line), datapath_bytes) for line in lines]
+    return tokenized_stats(
+        lines,
+        [words for words, _ in shapes],
+        [useful for _, useful in shapes],
+        datapath_bytes,
+    )
 
 
 @dataclass(frozen=True)
@@ -131,14 +152,11 @@ class PipelineCycleModel:
     def __init__(self, params: Optional[PipelineParams] = None) -> None:
         self.params = params if params is not None else PipelineParams()
 
-    def _line_token_words(self, line: bytes) -> int:
-        from repro.core.tokenizer import split_tokens
-
-        w = self.params.datapath_bytes
-        words = sum(max(1, math.ceil(len(t) / w)) for t in split_tokens(line))
-        return max(1, words)  # token-less lines still emit one flagged word
-
-    def count_cycles(self, lines: Sequence[bytes]) -> PipelineCycleCount:
+    def count_cycles(
+        self,
+        lines: Sequence[bytes],
+        line_words: Optional[Sequence[int]] = None,
+    ) -> PipelineCycleCount:
         """Simulate round-robin scatter/gather over the tokenizer array.
 
         Lines are processed in groups of ``tokenizers``; within a group all
@@ -150,25 +168,34 @@ class PipelineCycleModel:
         - each tokenizer: ``bytes_per_cycle`` over its assigned line,
         - each hash filter: one tokenized word per cycle over the lines of
           the tokenizer sub-group it gathers from.
+
+        ``line_words`` (one :func:`line_shape` word count per line) skips
+        the tokenization when the caller has already split the lines.
         """
+        if line_words is None:
+            from repro.core.tokenizer import split_tokens
+
+            w = self.params.datapath_bytes
+            line_words = [line_shape(split_tokens(ln), w)[0] for ln in lines]
+        elif len(line_words) != len(lines):
+            raise ValueError("line_words must align one-to-one with lines")
         p = self.params
         per_filter = p.tokenizers // p.hash_filters
         total_cycles = 0
         raw_total = 0
         for base in range(0, len(lines), p.tokenizers):
-            group = lines[base : base + p.tokenizers]
-            group_raw = sum(len(line) + 1 for line in group)
+            sizes = [len(line) + 1 for line in lines[base : base + p.tokenizers]]
+            group_raw = sum(sizes)
             raw_total += group_raw
             decomp_cycles = math.ceil(group_raw / p.datapath_bytes)
-            tok_cycles = max(
-                math.ceil((len(line) + 1) / p.tokenizer_bytes_per_cycle)
-                for line in group
+            tok_cycles = math.ceil(max(sizes) / p.tokenizer_bytes_per_cycle)
+            end = base + len(sizes)
+            filter_cycles = max(
+                sum(line_words[start : min(start + per_filter, end)])
+                for start in range(
+                    base, base + p.hash_filters * per_filter, per_filter
+                )
             )
-            filter_cycles = 0
-            for f in range(p.hash_filters):
-                assigned = group[f * per_filter : (f + 1) * per_filter]
-                words = sum(self._line_token_words(line) for line in assigned)
-                filter_cycles = max(filter_cycles, words)
             total_cycles += max(decomp_cycles, tok_cycles, filter_cycles)
         registry = get_registry()
         if registry is not None and total_cycles:

@@ -85,10 +85,13 @@ def compact_row(index: InvertedIndex, row_id: int) -> RowCompaction:
         head = index.store.write_root(
             leaf_ids[base : base + NODE_FANOUT], next_root=head
         )
-    row.head_root = head
-    row.partial_root = leaf_ids[full_root_leaves:]
-    row.buffer = addresses[full_leaf_addrs:]
-    # total_pages is a balancing counter, not a postings count: keep it
+    index.table.rewrite_row(
+        row_id,
+        buffer=addresses[full_leaf_addrs:],
+        partial_root=leaf_ids[full_root_leaves:],
+        head_root=head,
+    )
+    index.publish_memory()
 
     visits_after = len(leaf_ids[:full_root_leaves]) // NODE_FANOUT
     return RowCompaction(
@@ -105,4 +108,5 @@ def compact_index(index: InvertedIndex) -> CompactionReport:
     for row_id in sorted(index.table._rows):
         rows.append(compact_row(index, row_id))
     index.store.flush()
+    index.publish_memory()
     return CompactionReport(rows=tuple(rows))

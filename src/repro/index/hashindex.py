@@ -30,18 +30,26 @@ class RowState:
     head_root: int = NIL  # newest persisted root node id
     total_pages: int = 0  # counter used for two-choice balancing
 
-    def memory_footprint_bytes(self) -> int:
-        # buffer + partial root entries (u32 each) + head + counter
-        return 4 * (len(self.buffer) + len(self.partial_root) + 2)
+    @property
+    def held(self) -> int:
+        """Buffered addresses plus partial-root leaf ids (u32 each)."""
+        return len(self.buffer) + len(self.partial_root)
 
 
 class HashIndexTable:
-    """Two-hash-function row map in front of the store trees."""
+    """Two-hash-function row map in front of the store trees.
+
+    The table keeps a running count of the u32 entries its rows hold in
+    memory (buffered addresses plus partial-root leaf ids), so the
+    footprint costs O(1) however many rows are populated. Every change
+    to a row's buffer or partial root goes through this class.
+    """
 
     def __init__(self, params: Optional[IndexParams] = None, seed: int = 0) -> None:
         self.params = params if params is not None else IndexParams()
         self.seed = seed
         self._rows: dict[int, RowState] = {}
+        self._held = 0  # sum of RowState.held over every row
 
     def _hash(self, token: bytes, which: int) -> int:
         digest = hashlib.blake2b(
@@ -85,6 +93,7 @@ class HashIndexTable:
         if row.buffer and row.buffer[-1] == page_addr:
             return  # this page is already recorded for this row
         row.buffer.append(page_addr)
+        self._held += 1
         row.total_pages += 1
         if len(row.buffer) == self.params.memory_buffer_addrs:
             self._spill_buffer(row, store)
@@ -92,6 +101,7 @@ class HashIndexTable:
     def _spill_buffer(self, row: RowState, store: TreeListStore) -> None:
         # buffers larger than a leaf (naive-list ablation configs) chunk
         # into several leaves; the prototype's 16-entry buffer fills one
+        held = row.held
         for base in range(0, len(row.buffer), NODE_FANOUT):
             leaf_id = store.write_leaf(row.buffer[base : base + NODE_FANOUT])
             row.partial_root.append(leaf_id)
@@ -101,6 +111,7 @@ class HashIndexTable:
                 )
                 row.partial_root = []
         row.buffer = []
+        self._held += row.held - held
 
     def flush_all(self, store: TreeListStore) -> None:
         """Persist every partial buffer/root (snapshot or shutdown path)."""
@@ -112,7 +123,26 @@ class HashIndexTable:
                     row.partial_root, next_root=row.head_root
                 )
                 row.partial_root = []
+        self._held = 0
         store.flush()
+
+    def rewrite_row(
+        self,
+        row_id: int,
+        buffer: list[int],
+        partial_root: list[int],
+        head_root: int,
+    ) -> None:
+        """Replace a row's in-memory state (index compaction).
+
+        ``total_pages`` is a balancing counter, not a postings count, so
+        it is kept.
+        """
+        row = self.row(row_id)
+        self._held += len(buffer) + len(partial_root) - row.held
+        row.buffer = buffer
+        row.partial_root = partial_root
+        row.head_root = head_root
 
     def to_state(self) -> dict:
         """JSON-serialisable snapshot of every row's ingest state."""
@@ -136,11 +166,16 @@ class HashIndexTable:
             )
             for row_id, row in state.items()
         }
+        self._held = sum(row.held for row in self._rows.values())
 
     @property
     def rows_in_use(self) -> int:
         return len(self._rows)
 
     def memory_footprint_bytes(self) -> int:
-        """Total in-memory state — the paper's ~small-footprint claim."""
-        return sum(r.memory_footprint_bytes() for r in self._rows.values())
+        """Total in-memory state — the paper's ~small-footprint claim.
+
+        Each row holds its buffered addresses and partial-root leaf ids
+        plus a head pointer and a counter, all u32.
+        """
+        return 4 * (self._held + 2 * len(self._rows))

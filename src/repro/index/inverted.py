@@ -132,6 +132,8 @@ class InvertedIndex:
             self.store.leaves.pages_spilled
         ):
             self.flush(timestamp)
+        else:
+            self.publish_memory()
 
     def flush(self, timestamp: float = 0.0) -> None:
         """Persist all partial state and record a snapshot."""
@@ -142,14 +144,24 @@ class InvertedIndex:
             data_page_watermark=watermark,
             leaf_pages_created=self.store.leaves.pages_spilled,
         )
+        self.publish_memory()
 
     def memory_footprint_bytes(self) -> int:
-        """In-memory ingest state, the paper's small-footprint claim."""
+        """In-memory ingest state, the paper's small-footprint claim.
+
+        O(1): the table and the node pools keep running totals.
+        """
         return (
             self.table.memory_footprint_bytes()
             + self.store.memory_footprint_bytes
             + 4 * len(self._data_pages)
         )
+
+    def publish_memory(self) -> None:
+        """Set the footprint gauge; called wherever the state changes
+        (page indexed, flush, compaction, restore)."""
+        if self._m_memory is not None:
+            self._m_memory.set(self.memory_footprint_bytes())
 
     def lookup_seconds(
         self, stats: "IndexLookupStats", latency_s: float
@@ -238,5 +250,4 @@ class InvertedIndex:
                 self._m_root_visits.inc(stats.root_visits)
             if stats.full_scan:
                 self._m_full_scans.inc()
-            self._m_memory.set(self.memory_footprint_bytes())
         return IndexLookupResult(pages=tuple(bounded), stats=stats)

@@ -26,7 +26,7 @@ from repro.core.query import Query
 from repro.errors import IngestError, QueryError
 from repro.exec.cache import DEFAULT_CACHE_PAGES, PageCache
 from repro.exec.executor import ScanExecutor, ScanProgramSpec
-from repro.hw.perf import PipelineCycleModel, measure_tokenized_stats
+from repro.hw.perf import PipelineCycleModel, line_shape, tokenized_stats
 from repro.index.inverted import InvertedIndex
 from repro.obs.explain import ExplainReport, build_explain
 from repro.obs.journal import template_fingerprint
@@ -374,9 +374,22 @@ class MithriLogSystem:
         pages = 0
         pos = 0
         postings = 0
+        # one tokenization per line: it yields the page's index tokens and,
+        # for the first _PERF_SAMPLE_LINES lines, the two ints per line the
+        # cycle model and Figure 13 need (not the token lists)
+        datapath_bytes = self.params.pipeline.datapath_bytes
+        line_words: list[int] = []
+        line_useful: list[int] = []
         for payload, chunk in self._pack_pages(lines):
             addr = self.device.append_pages([Page(payload)])[0]
-            tokens = {t for line in chunk for t in split_tokens(line)}
+            tokens: set[bytes] = set()
+            for line in chunk:
+                line_tokens = split_tokens(line)
+                tokens.update(line_tokens)
+                if len(line_words) < _PERF_SAMPLE_LINES:
+                    words, useful = line_shape(line_tokens, datapath_bytes)
+                    line_words.append(words)
+                    line_useful.append(useful)
             stamp = timestamps[pos + len(chunk) - 1] if timestamps else None
             self.index.index_page(addr, tokens, timestamp=stamp)
             postings += len(tokens)
@@ -386,7 +399,9 @@ class MithriLogSystem:
         original = sum(len(ln) + 1 for ln in lines)
         self.original_bytes += original
         self.total_lines += len(lines)
-        self._measure_accelerator_rate(lines)
+        self._measure_accelerator_rate(
+            lines[: len(line_words)], line_words, line_useful
+        )
         storage = self.params.storage
         cost = IngestCostModel()
         report = IngestReport(
@@ -465,12 +480,19 @@ class MithriLogSystem:
             yield payload, chunk
             i += len(chunk)
 
-    def _measure_accelerator_rate(self, lines: Sequence[bytes]) -> None:
-        """Measure the filter engine's capability on this corpus (cycles)."""
-        sample = list(lines[:_PERF_SAMPLE_LINES])
+    def _measure_accelerator_rate(
+        self,
+        sample: Sequence[bytes],
+        line_words: Sequence[int],
+        line_useful: Sequence[int],
+    ) -> None:
+        """Measure the filter engine's capability on this corpus (cycles)
+        from the sampled lines' :func:`~repro.hw.perf.line_shape` counts."""
         if not sample:
             return
-        count = PipelineCycleModel(self.params.pipeline).count_cycles(sample)
+        count = PipelineCycleModel(self.params.pipeline).count_cycles(
+            sample, line_words
+        )
         pipelines = count.throughput_bytes_per_sec * self.params.num_pipelines
         decomp = self.params.num_pipelines * (
             self.params.lzah.word_bytes * self.params.pipeline.clock_hz
@@ -480,10 +502,12 @@ class MithriLogSystem:
         self._accelerator_rate = min(pipelines, decomp)
         if get_registry() is not None:
             # publishes the Figure 13 gauges (useful-bits ratio, padding
-            # amplification) as a side effect; skipped when metrics are
-            # off so ingest pays nothing extra
-            measure_tokenized_stats(
-                sample, datapath_bytes=self.params.pipeline.datapath_bytes
+            # amplification); skipped when metrics are off
+            tokenized_stats(
+                sample,
+                line_words,
+                line_useful,
+                datapath_bytes=self.params.pipeline.datapath_bytes,
             )
 
     @property

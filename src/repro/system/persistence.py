@@ -126,6 +126,7 @@ def load_store(directory: Union[str, Path], seed: int = 0) -> MithriLogSystem:
     system.index.store.leaves.restore_state(index_state["leaves"])
     system.index.store.roots.restore_state(index_state["roots"])
     system.index.snapshots.restore_state(index_state["snapshots"])
+    system.index.publish_memory()
 
     system.original_bytes = int(metadata["original_bytes"])
     system.total_lines = int(metadata["total_lines"])

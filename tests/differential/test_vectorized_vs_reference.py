@@ -516,7 +516,9 @@ class TestBackendSelection:
         assert "fallback" in available_backends()
         assert resolve_backend("fallback") == "fallback"
 
-    def test_auto_prefers_numpy_when_available(self):
+    def test_auto_prefers_numpy_when_available(self, monkeypatch):
+        # the documented way to force the fallback must not leak in here
+        monkeypatch.delenv(backend_mod.BACKEND_ENV, raising=False)
         if backend_mod.numpy_or_none() is not None:
             assert resolve_backend(None) == "numpy"
             assert resolve_backend("auto") == "numpy"

@@ -1,12 +1,13 @@
 """Tests for the higher-order analytics layer."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytics.anomaly import PCAAnomalyDetector
-from repro.analytics.clustering import KMeans, silhouette
-from repro.analytics.counting import count_windows
+np = pytest.importorskip("numpy")
+
+from repro.analytics.anomaly import PCAAnomalyDetector  # noqa: E402
+from repro.analytics.clustering import KMeans, silhouette  # noqa: E402
+from repro.analytics.counting import count_windows  # noqa: E402
 
 
 class TestCountWindows:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.analytics.sequences import TransitionModel
+pytest.importorskip("numpy")
+
+from repro.analytics.sequences import TransitionModel  # noqa: E402
 
 
 def workflow_stream(repeats: int, noise: float = 0.0, seed: int = 0):

@@ -1,10 +1,16 @@
 """Tests for the cycle-approximate performance model (Figures 13/14)."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core.tokenizer import split_tokens
 from repro.hw.perf import (
     EngineThroughputModel,
     PipelineCycleModel,
+    line_shape,
     measure_tokenized_stats,
 )
 from repro.params import PipelineParams
@@ -78,6 +84,69 @@ class TestPipelineCycleModel:
     def test_raw_bytes_include_newlines(self):
         count = PipelineCycleModel().count_cycles([b"ab", b"cd"])
         assert count.raw_bytes == 6
+
+
+def reference_line_words(line: bytes, w: int) -> int:
+    """Datapath words of one line, token by token (the model's spec)."""
+    words = sum(max(1, math.ceil(len(t) / w)) for t in split_tokens(line))
+    return max(1, words)
+
+
+def reference_cycles(params: PipelineParams, lines) -> int:
+    """Per-group cycle count written out stage by stage: the oracle for
+    :meth:`PipelineCycleModel.count_cycles` and its ``line_words`` path."""
+    per_filter = params.tokenizers // params.hash_filters
+    total = 0
+    for base in range(0, len(lines), params.tokenizers):
+        group = lines[base : base + params.tokenizers]
+        decomp = math.ceil(sum(len(ln) + 1 for ln in group) / params.datapath_bytes)
+        tok = max(
+            math.ceil((len(ln) + 1) / params.tokenizer_bytes_per_cycle)
+            for ln in group
+        )
+        filt = 0
+        for f in range(params.hash_filters):
+            assigned = group[f * per_filter : (f + 1) * per_filter]
+            filt = max(
+                filt,
+                sum(reference_line_words(ln, params.datapath_bytes) for ln in assigned),
+            )
+        total += max(decomp, tok, filt)
+    return total
+
+
+_LINE = st.lists(
+    st.sampled_from([b"a", b"bb", b"x" * 16, b"y" * 17, b"z" * 40, b" ", b"\t"]),
+    max_size=8,
+).map(b"".join)
+_PARAMS = st.sampled_from([
+    PipelineParams(),
+    PipelineParams(tokenizers=9, hash_filters=2),  # a line no filter gathers
+    PipelineParams(tokenizers=8, hash_filters=3),
+    PipelineParams(datapath_bytes=8, tokenizers=4, hash_filters=1),
+])
+
+
+class TestCycleModelOracle:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(lines=st.lists(_LINE, max_size=40), params=_PARAMS)
+    @example(  # the two lines no filter gathers carry most of the words
+        lines=[b"x"] * 6 + [b"a " * 8] * 2,
+        params=PipelineParams(tokenizers=8, hash_filters=3),
+    )
+    def test_count_cycles_matches_reference(self, lines, params):
+        model = PipelineCycleModel(params)
+        expected = reference_cycles(params, lines)
+        assert model.count_cycles(lines).cycles == expected
+        words = [line_shape(split_tokens(ln), params.datapath_bytes)[0] for ln in lines]
+        assert model.count_cycles(lines, words).cycles == expected
+        assert words == [
+            reference_line_words(ln, params.datapath_bytes) for ln in lines
+        ]
+
+    def test_line_shape_useful_bytes(self):
+        assert line_shape(split_tokens(b"ab " + b"c" * 17), 16) == (3, 19)
+        assert line_shape([], 16) == (1, 0)
 
 
 class TestEngineThroughputModel:

@@ -15,10 +15,8 @@ the pre-stage answers, so any cross-feature interaction bug surfaces
 here even if each feature's own tests pass.
 """
 
-import numpy as np
 import pytest
 
-from repro.analytics import PCAAnomalyDetector, TransitionModel, count_windows
 from repro.baselines.grep import grep_lines
 from repro.core.query import parse_query
 from repro.core.tagger import TemplateTagger
@@ -31,6 +29,10 @@ from repro.system.streaming import StreamingIngestor
 from repro.system.wal import JournaledMithriLog
 from repro.templates.fttree import FTTree, FTTreeParams
 from repro.templates.querygen import build_workload
+
+np = pytest.importorskip("numpy")
+
+from repro.analytics import PCAAnomalyDetector, TransitionModel, count_windows  # noqa: E402
 
 
 @pytest.fixture(scope="module")
